@@ -529,7 +529,7 @@ func subK(k int) string {
 	return string(buf[i:])
 }
 
-// --- Run-encoded scan: run kernel vs per-cell relocation ---
+// --- Run-encoded scan: run-encoded vs unencoded chunks under one kernel ---
 
 var (
 	rleOnce sync.Once
@@ -555,16 +555,16 @@ func rleBenchWorkforce(b *testing.B) *workload.Workforce {
 }
 
 // BenchmarkRleScan runs the same serial forward query over the cube
-// stored per-cell (auto dense/sparse) and run-encoded. Only the
-// run-encoded variant takes the run-aware kernel; store_bytes and
-// cells_relocated are reported per variant, scan throughput is the
-// cells_relocated over the scan stage captured in BENCH_rle_scan.json.
+// stored unencoded (auto dense/sparse) and run-encoded; both variants
+// scan through the one run kernel. store_bytes and cells_relocated are
+// reported per variant, scan throughput is the cells_relocated over
+// the scan stage captured in BENCH_rle_scan.json.
 func BenchmarkRleScan(b *testing.B) {
 	w := rleBenchWorkforce(b)
 	variants := []struct {
 		name   string
 		encode bool
-	}{{"per-cell", false}, {"run-encoded", true}}
+	}{{"unencoded", false}, {"run-encoded", true}}
 	for _, va := range variants {
 		b.Run(va.name, func(b *testing.B) {
 			c := w.Cube.Clone()

@@ -10,7 +10,7 @@
 //	benchfig -fig 12            # chunk co-location vs. query time (§6.2)
 //	benchfig -fig 13            # varying members vs. query time (§6.3)
 //	benchfig -fig overlay-kernel  # overlay write path: MemStore vs chunk-native
-//	benchfig -fig rle-scan        # run-encoded chunks vs per-cell relocation
+//	benchfig -fig rle-scan        # scan time per chunk representation, one run kernel
 //	benchfig -fig obs-overhead    # trace-retention cost on the traced replay
 //	benchfig -fig ablation-pebble | ablation-mode | ablation-rep | ablation-compress
 //	benchfig -fig all
@@ -172,11 +172,11 @@ func parallelScan(w *workload.Workforce, reps int) {
 }
 
 func rleScan(reps int) {
-	fmt.Println("# RLE scan — run-encoded chunks vs per-cell relocation")
+	fmt.Println("# RLE scan — storage representations under the one run kernel")
 	fmt.Println("# validity-window cube (FlatMonths workforce, period-fastest chunks);")
 	fmt.Println("# serial forward over all changing employees, 4 perspectives {Jan,Apr,Jul,Oct};")
-	fmt.Println("# only the run-encoded row uses the run kernel — the others measure the")
-	fmt.Println("# unchanged per-cell path")
+	fmt.Println("# every row scans through the same relocation kernel, so the rows differ")
+	fmt.Println("# only in how the chunks store their cells")
 	cfg := bench.RleScanConfig()
 	fmt.Fprintf(os.Stderr, "benchfig: generating flat-months workforce (%d employees)...\n", cfg.Employees)
 	w, err := workload.NewWorkforce(cfg)

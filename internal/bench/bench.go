@@ -651,13 +651,12 @@ func RleScanConfig() workload.WorkforceConfig {
 	return cfg
 }
 
-// RleScan measures the run-aware scan against the per-cell paths: the
-// same serial forward query over every changing employee at four
+// RleScan measures the scan per storage representation: the same
+// serial forward query over every changing employee at four
 // perspectives, against the cube stored as-loaded (auto dense/sparse),
-// forced sparse, and run-encoded. The run-encoded row exercises the
-// run kernel (chunk.ForEachRun + coalesced overlay run writes); the
-// other rows keep the unchanged per-cell relocation path, so the
-// comparison isolates the kernel.
+// forced sparse, and run-encoded. Every row goes through the one run
+// kernel (chunk.ForEachRun + coalesced overlay run writes), so the
+// comparison isolates the representation.
 func RleScan(w *workload.Workforce, reps int) ([]RleScanRow, error) {
 	measure := func(label string, c *cube.Cube) (RleScanRow, error) {
 		st := c.Store().(*chunk.Store)

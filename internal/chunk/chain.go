@@ -10,7 +10,7 @@ import (
 
 // This file is the scenario-workspace read hot path: a query against a
 // scenario resolves every cell through Chain.Get (or the engine's
-// merged chunk iteration), so nothing here may allocate per resolved
+// merged run iteration), so nothing here may allocate per resolved
 // cell or format. verify.sh's whatiflint gate enforces the no-fmt rule
 // for this file.
 
@@ -104,7 +104,8 @@ func (l *Layer) deleted(addr []int) bool { return !math.IsNaN(l.deletes.Get(addr
 // per-layer bounds check routes such addresses past narrower layers
 // and past the base. A chain whose base is a *Store and whose layers
 // all share the base geometry is "engine capable": the perspective
-// engine can scan it chunk by chunk through ForEachMerged.
+// engine scans it chunk by chunk through ForEachMerged, which hands the
+// resolved cells to the same run kernel as a plain store's chunks.
 //
 // A chain is an immutable snapshot: scenarios build a fresh Chain per
 // query from their sealed layers, so concurrent readers never race
@@ -236,20 +237,19 @@ func (c *Chain) touchedAbove(i int, addr []int) bool {
 // emitted once, at the newest layer that owns it), then base cells no
 // layer overrides. Deterministic given deterministic layer iteration.
 func (c *Chain) NonNull(fn func(addr []int, v float64) bool) {
-	stopped := false
-	for i := len(c.layers) - 1; i >= 0 && !stopped; i-- {
-		li := i
-		//lint:allocok one closure per layer per NonNull call (it captures the layer index); layers are few, cells are many
-		c.layers[i].values.NonNull(func(addr []int, v float64) bool {
-			if c.touchedAbove(li, addr) {
-				return true
-			}
-			if !fn(addr, v) {
-				stopped = true
-				return false
-			}
+	li, stopped := 0, false
+	layerCell := func(addr []int, v float64) bool {
+		if c.touchedAbove(li, addr) {
 			return true
-		})
+		}
+		if !fn(addr, v) {
+			stopped = true
+			return false
+		}
+		return true
+	}
+	for li = len(c.layers) - 1; li >= 0 && !stopped; li-- {
+		c.layers[li].values.NonNull(layerCell)
 	}
 	if stopped {
 		return
@@ -309,64 +309,79 @@ func (c *Chain) LayerChunkIDs() []int {
 	return ids
 }
 
-// ForEachMerged iterates the resolved cells of one chunk: base cells
-// (shadowed ones replaced or skipped per the layer chain), then layer
-// cells at offsets the base does not hold. base may be nil when the
-// base store never materialized the chunk. Returns false if fn stopped
-// the iteration. Requires an engine-capable chain (one shared
-// geometry); per-cell work is map probes and integer arithmetic only.
-func (c *Chain) ForEachMerged(id int, base *Chunk, fn func(off int, v float64) bool) bool {
+// ForEachMerged calls fn for the resolved cells of one chunk as runs
+// of bit-identical values, fn(start, runLen, v), under the chain's
+// resolution rules: the newest layer that writes or tombstones a cell
+// owns it, tombstoned cells are skipped, and cells no layer touches
+// come from the base. base may be nil when the base store never
+// materialized the chunk (its cells are then layer-only). On a chunk no
+// layer touches this is base.ForEachRun; on a touched one every base
+// and layer value run is cut where a newer layer owns a cell, so the
+// runs together cover each resolved cell exactly once, though not in
+// ascending offset order. Requires an engine-capable chain (one shared
+// geometry); the iteration allocates nothing.
+func (c *Chain) ForEachMerged(id int, base *Chunk, fn func(off, runLen int, v float64) bool) {
 	if !c.uniform {
 		panic("chunk: ForEachMerged on a non-uniform chain (id " + strconv.Itoa(id) + ")")
 	}
-	cont := true
+	if !c.touches(id) {
+		if base != nil {
+			base.ForEachRun(fn)
+		}
+		return
+	}
+	// cut passes fn the sub-runs of one source run that no layer newer
+	// than the source (index above: -1 for the base) writes or
+	// tombstones.
+	above, cont := -1, true
+	cut := func(start, runLen int, v float64) bool {
+		from, end := start, start+runLen
+		for off := start; off < end && cont; off++ {
+			if c.shadowed(id, above, off) {
+				if off > from {
+					cont = fn(from, off-from, v)
+				}
+				from = off + 1
+			}
+		}
+		if cont && from < end {
+			cont = fn(from, end-from, v)
+		}
+		return cont
+	}
 	if base != nil {
-		base.ForEach(func(off int, v float64) bool {
-			for i := len(c.layers) - 1; i >= 0; i-- {
-				l := c.layers[i]
-				if dch := l.deletes.chunks[id]; dch != nil && !math.IsNaN(dch.Get(off)) {
-					return true // deleted: skip, stay in base loop
-				}
-				if vch := l.values.chunks[id]; vch != nil {
-					if lv := vch.Get(off); !math.IsNaN(lv) {
-						cont = fn(off, lv)
-						return cont
-					}
-				}
-			}
-			cont = fn(off, v)
-			return cont
-		})
-		if !cont {
-			return false
+		base.ForEachRun(cut)
+	}
+	for i := len(c.layers) - 1; i >= 0 && cont; i-- {
+		if vch := c.layers[i].values.chunks[id]; vch != nil {
+			above = i
+			vch.ForEachRun(cut)
 		}
 	}
-	for i := len(c.layers) - 1; i >= 0; i-- {
-		vch := c.layers[i].values.chunks[id]
-		if vch == nil {
-			continue
-		}
-		li := i
-		//lint:allocok one closure per layer per merged-chunk scan (it captures the layer index); layers are few
-		vch.ForEach(func(off int, v float64) bool {
-			if base != nil && !math.IsNaN(base.Get(off)) {
-				return true // resolved in the base pass above
-			}
-			for j := len(c.layers) - 1; j > li; j-- {
-				l := c.layers[j]
-				if dch := l.deletes.chunks[id]; dch != nil && !math.IsNaN(dch.Get(off)) {
-					return true // newer tombstone owns the offset
-				}
-				if lch := l.values.chunks[id]; lch != nil && !math.IsNaN(lch.Get(off)) {
-					return true // newer write owns the offset
-				}
-			}
-			cont = fn(off, v)
-			return cont
-		})
-		if !cont {
-			return false
+}
+
+// touches reports whether any layer writes or tombstones a cell of
+// chunk id.
+func (c *Chain) touches(id int) bool {
+	for _, l := range c.layers {
+		if l.values.chunks[id] != nil || l.deletes.chunks[id] != nil {
+			return true
 		}
 	}
-	return true
+	return false
+}
+
+// shadowed reports whether a layer newer than index above writes or
+// tombstones offset off of chunk id.
+func (c *Chain) shadowed(id, above, off int) bool {
+	for j := len(c.layers) - 1; j > above; j-- {
+		l := c.layers[j]
+		if ch := l.deletes.chunks[id]; ch != nil && !math.IsNaN(ch.Get(off)) {
+			return true
+		}
+		if ch := l.values.chunks[id]; ch != nil && !math.IsNaN(ch.Get(off)) {
+			return true
+		}
+	}
+	return false
 }

@@ -109,14 +109,12 @@ func TestScenarioChainWiderLayer(t *testing.T) {
 	}
 }
 
-func TestScenarioChainForEachMerged(t *testing.T) {
-	c := chainFixture(t)
+// mergedCells expands ForEachMerged's runs over every chunk of the
+// base and layer union into resolved cells, failing on a cell emitted
+// twice.
+func mergedCells(t *testing.T, c *Chain) map[[2]int]float64 {
+	t.Helper()
 	g := c.ChunkBase().Geometry()
-	resolved := map[[2]int]float64{}
-	ccoord := make([]int, 2)
-	addr := make([]int, 2)
-	// Union of base and layer chunks, resolved chunk by chunk, must
-	// reproduce exactly what NonNull reports.
 	ids := map[int]bool{}
 	for _, id := range c.ChunkBase().ChunkIDs() {
 		ids[id] = true
@@ -124,15 +122,42 @@ func TestScenarioChainForEachMerged(t *testing.T) {
 	for _, id := range c.LayerChunkIDs() {
 		ids[id] = true
 	}
+	resolved := map[[2]int]float64{}
+	ccoord := make([]int, 2)
+	addr := make([]int, 2)
 	for id := range ids {
 		base, _ := c.ChunkBase().ReadChunkInfo(id)
 		g.CoordOf(id, ccoord)
-		c.ForEachMerged(id, base, func(off int, v float64) bool {
-			g.Join(ccoord, off, addr)
-			resolved[[2]int{addr[0], addr[1]}] = v
+		c.ForEachMerged(id, base, func(start, runLen int, v float64) bool {
+			if runLen < 1 {
+				t.Fatalf("chunk %d: empty run at %d", id, start)
+			}
+			for off := start; off < start+runLen; off++ {
+				g.Join(ccoord, off, addr)
+				k := [2]int{addr[0], addr[1]}
+				if _, dup := resolved[k]; dup {
+					t.Fatalf("cell %v emitted twice", addr)
+				}
+				resolved[k] = v
+			}
 			return true
 		})
 	}
+	return resolved
+}
+
+// TestScenarioChainForEachMerged pins the run iterator's resolution
+// rules: expanding its runs over the union of base and layer chunks
+// reproduces exactly the cells NonNull reports, each once — newest
+// layer wins, tombstones skip, layer-only chunks are covered.
+func TestScenarioChainForEachMerged(t *testing.T) {
+	c := chainFixture(t)
+	// A run-encoded base chunk no layer touches (runs cut by layer
+	// cells are covered by TestScenarioChainOverRunEncodedBase).
+	c.ChunkBase().Set([]int{0, 2}, 5)
+	c.ChunkBase().Set([]int{0, 3}, 5)
+	c.ChunkBase().ForceRunEncodeAll()
+	resolved := mergedCells(t, c)
 	want := map[[2]int]float64{}
 	c.NonNull(func(a []int, v float64) bool {
 		want[[2]int{a[0], a[1]}] = v
@@ -142,9 +167,22 @@ func TestScenarioChainForEachMerged(t *testing.T) {
 		t.Fatalf("merged iteration yielded %v, want %v", resolved, want)
 	}
 	for k, v := range want {
-		if resolved[k] != v {
-			t.Errorf("cell %v = %v, want %v", k, resolved[k], v)
+		if got, ok := resolved[k]; !ok || math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("cell %v = %v, want %v", k, got, v)
 		}
+	}
+
+	// On the untouched chunk the iterator is the base's own run
+	// iteration: one run covering both cells.
+	id, _ := c.ChunkBase().Geometry().SplitID([]int{0, 2})
+	base, _ := c.ChunkBase().ReadChunkInfo(id)
+	var runs [][3]float64
+	c.ForEachMerged(id, base, func(start, runLen int, v float64) bool {
+		runs = append(runs, [3]float64{float64(start), float64(runLen), v})
+		return true
+	})
+	if len(runs) != 1 || runs[0][1] != 2 || runs[0][2] != 5 {
+		t.Fatalf("untouched chunk runs = %v, want one length-2 run of 5", runs)
 	}
 }
 
@@ -190,18 +228,27 @@ func TestScenarioChainGetAllocs(t *testing.T) {
 	_ = sink
 }
 
-// TestScenarioChainMergedAllocs pins the engine-facing merged chunk
-// iteration at zero allocations per chunk once the callback is set up.
+// TestScenarioChainMergedAllocs pins the engine-facing merged run
+// iteration at zero allocations per chunk once the callback is set up,
+// on a chunk no layer touches (the base's own run iteration) and on a
+// touched one (runs cut where layers own cells).
 func TestScenarioChainMergedAllocs(t *testing.T) {
 	c := chainFixture(t)
-	base, _ := c.ChunkBase().ReadChunkInfo(0)
+	c.ChunkBase().Set([]int{0, 2}, 5)
+	untouched, _ := c.ChunkBase().Geometry().SplitID([]int{0, 2})
 	var sink float64
-	fn := func(off int, v float64) bool { sink += v; return true }
-	allocs := testing.AllocsPerRun(1000, func() {
-		c.ForEachMerged(0, base, fn)
-	})
-	if allocs != 0 {
-		t.Fatalf("ForEachMerged allocates %.1f per run, want 0", allocs)
+	fn := func(off, runLen int, v float64) bool { sink += v * float64(runLen); return true }
+	for _, id := range []int{0, untouched} {
+		base, _ := c.ChunkBase().ReadChunkInfo(id)
+		if base == nil {
+			t.Fatalf("chunk %d has no base chunk", id)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			c.ForEachMerged(id, base, fn)
+		})
+		if allocs != 0 {
+			t.Fatalf("ForEachMerged on chunk %d allocates %.1f per run, want 0", id, allocs)
+		}
 	}
 	_ = sink
 }
@@ -269,13 +316,17 @@ func TestScenarioChainOverRunEncodedBase(t *testing.T) {
 		pb, _ := plainChain.ChunkBase().ReadChunkInfo(id)
 		rb, _ := rleChain.ChunkBase().ReadChunkInfo(id)
 		want := map[int]float64{}
-		plainChain.ForEachMerged(id, pb, func(off int, v float64) bool {
-			want[off] = v
+		plainChain.ForEachMerged(id, pb, func(start, runLen int, v float64) bool {
+			for off := start; off < start+runLen; off++ {
+				want[off] = v
+			}
 			return true
 		})
 		got := map[int]float64{}
-		rleChain.ForEachMerged(id, rb, func(off int, v float64) bool {
-			got[off] = v
+		rleChain.ForEachMerged(id, rb, func(start, runLen int, v float64) bool {
+			for off := start; off < start+runLen; off++ {
+				got[off] = v
+			}
 			return true
 		})
 		if len(want) != len(got) {
@@ -286,6 +337,21 @@ func TestScenarioChainOverRunEncodedBase(t *testing.T) {
 				t.Fatalf("chunk %d off %d: merged %v, want %v", id, off, got[off], w)
 			}
 		}
+	}
+
+	// The layer write and tombstone cut base runs; the pieces must
+	// still cover exactly the resolved cells.
+	resolved := mergedCells(t, rleChain)
+	n := 0
+	rleChain.NonNull(func(a []int, v float64) bool {
+		n++
+		if got, ok := resolved[[2]int{a[0], a[1]}]; !ok || got != v {
+			t.Fatalf("cell %v: merged runs give %v (present %v), want %v", a, got, ok, v)
+		}
+		return true
+	})
+	if n != len(resolved) {
+		t.Fatalf("merged runs cover %d cells, NonNull %d", len(resolved), n)
 	}
 
 	for _, id := range rle.ChunkIDs() {

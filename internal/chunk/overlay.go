@@ -79,7 +79,7 @@ func (o *Overlay) Promotions() int { return o.promotions }
 // SetRunAt writes n copies of v starting at offset off of the chunk
 // with canonical ID id — the run-aware relocation kernel's write path.
 // One map probe and one chunk-level run write cover the whole segment,
-// against n SplitID computations and n probes on the per-cell path.
+// against n SplitID computations and n probes through Set.
 // v must be non-Null and the run must lie inside the chunk (the kernel
 // segments runs at chunk-digit boundaries, so both hold by
 // construction).

@@ -273,7 +273,8 @@ func encodeChunk(c *Chunk) []byte {
 
 // decodeChunk deserializes a record written by encodeChunk, restoring
 // run records to the run-encoded representation (so a tier fault never
-// silently decompresses a chunk).
+// silently decompresses a chunk). Pair records must list non-Null cells
+// at strictly ascending offsets, as encodeChunk writes them.
 func decodeChunk(buf []byte, capacity int) (*Chunk, error) {
 	if len(buf) < spillHeaderLen {
 		return nil, io.ErrUnexpectedEOF
@@ -286,6 +287,7 @@ func decodeChunk(buf []byte, capacity int) (*Chunk, error) {
 		return nil, fmt.Errorf("chunk: corrupt spill record: %d cells in %d bytes", n, len(buf))
 	}
 	c := NewSparse(capacity)
+	prevOff := -1
 	for i := 0; i < n; i++ {
 		rec := buf[spillHeaderLen+spillCellLen*i:]
 		off := int(binary.LittleEndian.Uint32(rec))
@@ -293,6 +295,10 @@ func decodeChunk(buf []byte, capacity int) (*Chunk, error) {
 		if off >= capacity {
 			return nil, fmt.Errorf("chunk: corrupt spill record: offset %d beyond capacity %d", off, capacity)
 		}
+		if off <= prevOff || math.IsNaN(v) {
+			return nil, fmt.Errorf("chunk: corrupt spill record: cell %d (offset %d after %d, value %v) breaks the ascending non-Null layout", i, off, prevOff, v)
+		}
+		prevOff = off
 		c.Set(off, v)
 	}
 	return c, nil
@@ -321,7 +327,8 @@ func encodeRunRecord(c *Chunk) []byte {
 }
 
 // decodeRunRecord deserializes a run record into a run-encoded chunk,
-// validating run bounds, ordering and the redundant cell count.
+// validating run bounds, ordering, maximality (ForEachRun promises
+// maximal runs) and the redundant cell count.
 func decodeRunRecord(buf []byte, capacity int) (*Chunk, error) {
 	if len(buf) < runHeaderLen {
 		return nil, io.ErrUnexpectedEOF
@@ -345,6 +352,9 @@ func decodeRunRecord(buf []byte, capacity int) (*Chunk, error) {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(ent[8:16]))
 		if math.IsNaN(v) {
 			return nil, fmt.Errorf("chunk: corrupt run record: run %d holds Null", i)
+		}
+		if i > 0 && start == prevEnd && math.Float64bits(v) == math.Float64bits(vals[i-1]) {
+			return nil, fmt.Errorf("chunk: corrupt run record: run %d continues run %d (runs must be maximal)", i, i-1)
 		}
 		offs[i], lens[i], vals[i] = int32(start), int32(n), v
 		prevEnd = start + n

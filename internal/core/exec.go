@@ -52,16 +52,20 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 	sp.IntNonZero("pebbling_peak", int64(p.Stats.PeakResidentChunks))
 }
 
-// runKernel is the run-aware relocation path for run-encoded source
-// chunks: instead of decomposing and relocating cell by cell, it cuts
-// each value run at the chunk-digit boundaries of the varying and
-// parameter dimensions — within such a segment both digits are constant
-// (offset strides nest), so one relocation-table probe decides a whole
-// segment and the destination offsets stay contiguous. Consecutive
-// segments landing on the same destination instance coalesce into one
-// overlay run write, so a stable member's entire validity window moves
-// with O(1) table work and one SetRunAt. Vanished segments (pruned
-// source row or -1 destination) skip in O(1) without touching cells.
+// runKernel is the engine's one relocation loop. Every source chunk —
+// dense, sparse or run-encoded, or a scenario chunk resolved through
+// the layer chain — reaches it as value runs (Chunk.ForEachRun,
+// Chain.ForEachMerged). It cuts each run at the chunk-digit boundaries
+// of the varying and parameter dimensions — within such a segment both
+// digits are constant (offset strides nest), so one relocation-table
+// probe decides a whole segment and the destination offsets stay
+// contiguous. Consecutive segments landing on the same destination
+// instance coalesce into one overlay run write, so a stable member's
+// entire validity window moves with O(1) table work and one SetRunAt.
+// Vanished segments (pruned source row or -1 destination) skip in O(1)
+// without touching cells. A dense or sparse chunk with no repeated
+// values degrades to length-1 runs: one probe and one write per cell,
+// the cost of a per-cell loop without its address decomposition.
 //
 // All state lives on the struct and the ForEachRun callback is built
 // once per scan, so the steady-state path allocates nothing per run.
@@ -434,12 +438,13 @@ func (pt *pinTracker) releaseAll() {
 }
 
 // scanInto reads the scheduled chunks in order, relocating scoped cells
-// through the plan's target tables into the overlay. Relocation is
-// chunk-native: the destination address decomposes to (chunkID, offset)
-// by integer arithmetic and the write allocates nothing once the
-// destination chunk exists. The context, when non-nil, is checked
-// before every chunk read. The plan is only read, so concurrent
-// scanInto calls over disjoint overlays are safe.
+// through the plan's target tables into the overlay: each chunk's value
+// runs go through the run kernel, whatever the chunk's representation.
+// Relocation is chunk-native: the destination address decomposes to
+// (chunkID, offset) by integer arithmetic and the write allocates
+// nothing once the destination chunk exists. The context, when
+// non-nil, is checked before every chunk read. The plan is only read,
+// so concurrent scanInto calls over disjoint overlays are safe.
 //
 // Per-read attribution flows through ReadChunkInfo: modeled disk cost
 // sums into the tally, and a buffer-pool fault becomes a "fault" span
@@ -452,40 +457,13 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 	g := e.store.Geometry()
 	og := overlay.Geometry()
 	ccoord := make([]int, g.NumDims())
-	addr := make([]int, g.NumDims())
-	out := make([]int, g.NumDims())
 	promBefore := overlay.Promotions()
-	// The run kernel is built lazily, on the first run-encoded chunk:
-	// dense and sparse chunks keep the per-cell path below, so the
-	// dense baseline in the RLE figures measures unchanged code.
-	var rk *runKernel
+	rk := newRunKernel(g, overlay, p.Target, e.vi, e.pi)
 
 	var pins *pinTracker
 	if e.store.Pooled() && len(p.Neighbors) > 0 {
 		pins = newPinTracker(e.store, schedule, p.Neighbors)
 		defer pins.releaseAll()
-	}
-
-	// The per-cell relocation closure is hoisted out of the schedule
-	// loop: every capture (scratch buffers, plan tables, the overlay)
-	// is loop-invariant — ccoord is updated in place per chunk — so one
-	// allocation serves the whole scan instead of one per chunk.
-	relocate := func(off int, v float64) bool {
-		tally.cellsScanned++
-		g.Join(ccoord, off, addr)
-		row := p.Target[addr[e.vi]]
-		if row == nil {
-			return true
-		}
-		dst := row[addr[e.pi]]
-		if dst < 0 {
-			return true
-		}
-		copy(out, addr)
-		out[e.vi] = dst
-		overlay.Set(out, v)
-		tally.cellsRelocated++
-		return true
 	}
 
 	for _, id := range schedule {
@@ -517,30 +495,19 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 			continue
 		}
 		g.CoordOf(id, ccoord)
+		rk.beginChunk(og, ccoord)
 		if e.chain != nil {
-			// Scenario scan: resolve the chunk's cells through the layer
-			// chain (newest layer wins, tombstones skip) — including
-			// layer-only cells in chunks the base never materialized
-			// (ch == nil), which the planner scheduled via the chain's
-			// chunk-ID union.
-			e.chain.ForEachMerged(id, ch, relocate)
-			continue
-		}
-		if ch.Rep() == chunk.RunEncoded {
-			// Run-aware path: relocate whole value runs through the
-			// kernel (one table probe per digit segment, coalesced
-			// overlay run writes) instead of cell by cell.
-			if rk == nil {
-				rk = newRunKernel(g, overlay, p.Target, e.vi, e.pi)
-			}
-			rk.beginChunk(og, ccoord)
+			// Scenario scan: the chain resolves the chunk's cells (newest
+			// layer wins, tombstones skip), including layer-only cells in
+			// chunks the base never materialized (ch == nil), which the
+			// planner scheduled via the chain's chunk-ID union.
+			e.chain.ForEachMerged(id, ch, rk.emit)
+		} else {
 			ch.ForEachRun(rk.emit)
-			moved, scanned := rk.take()
-			tally.cellsRelocated += moved
-			tally.cellsScanned += scanned
-			continue
 		}
-		ch.ForEach(relocate)
+		moved, scanned := rk.take()
+		tally.cellsRelocated += moved
+		tally.cellsScanned += scanned
 	}
 	tally.promotions = overlay.Promotions() - promBefore
 	return tally, nil

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"whatifolap/internal/algebra"
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/cube"
+	"whatifolap/internal/dimension"
 	"whatifolap/internal/paperdata"
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/trace"
@@ -14,39 +17,90 @@ import (
 )
 
 // legacyOverlay is the reference relocation kernel: the string-keyed
-// cube.MemStore scan the chunk-native kernel replaced. It reads the
-// plan's schedule and applies the same relocation tables, so any
-// divergence from the chunk-native overlays is a kernel bug, not a
-// planning difference.
-func legacyOverlay(e *Engine, p *PhysicalPlan) *cube.MemStore {
+// cube.MemStore scan the chunk-native kernel replaced, relocating cell
+// by cell. It reads the plan's schedule and applies the same relocation
+// tables, so any divergence from the chunk-native overlays is a kernel
+// bug, not a planning difference. On an engine over a scenario chain,
+// each scheduled chunk resolves cell by cell through legacyMerged over
+// the chain's layers (oldest first), which the caller passes in.
+func legacyOverlay(e *Engine, p *PhysicalPlan, layers ...*chunk.Layer) *cube.MemStore {
 	ms := cube.NewMemStore(e.base.NumDims())
 	g := e.store.Geometry()
 	ccoord := make([]int, g.NumDims())
 	addr := make([]int, g.NumDims())
 	out := make([]int, g.NumDims())
+	relocate := func(addr []int, v float64) {
+		row := p.Target[addr[e.vi]]
+		if row == nil {
+			return
+		}
+		dst := row[addr[e.pi]]
+		if dst < 0 {
+			return
+		}
+		copy(out, addr)
+		out[e.vi] = dst
+		ms.Set(out, v)
+	}
 	for _, id := range p.Schedule {
 		ch := e.store.ReadChunk(id)
+		g.CoordOf(id, ccoord)
+		if e.chain != nil {
+			legacyMerged(g, layers, id, ch, relocate)
+			continue
+		}
 		if ch == nil {
 			continue
 		}
-		g.CoordOf(id, ccoord)
 		ch.ForEach(func(off int, v float64) bool {
 			g.Join(ccoord, off, addr)
-			row := p.Target[addr[e.vi]]
-			if row == nil {
-				return true
-			}
-			dst := row[addr[e.pi]]
-			if dst < 0 {
-				return true
-			}
-			copy(out, addr)
-			out[e.vi] = dst
-			ms.Set(out, v)
+			relocate(addr, v)
 			return true
 		})
 	}
 	return ms
+}
+
+// legacyMerged is the per-cell scenario resolution the chain's run
+// iteration replaced: base cells first, each resolved newest layer
+// first (a tombstone skips the cell, a write replaces its value), then
+// layer writes at cells of chunk id the base does not hold and no newer
+// layer writes or tombstones. base may be nil (a layer-only chunk).
+func legacyMerged(g *chunk.Geometry, layers []*chunk.Layer, id int, base *chunk.Chunk, fn func(addr []int, v float64)) {
+	ccoord := make([]int, g.NumDims())
+	addr := make([]int, g.NumDims())
+	g.CoordOf(id, ccoord)
+	if base != nil {
+		base.ForEach(func(off int, v float64) bool {
+			g.Join(ccoord, off, addr)
+			for i := len(layers) - 1; i >= 0; i-- {
+				if !math.IsNaN(layers[i].Deletes().Get(addr)) {
+					return true
+				}
+				if lv := layers[i].Values().Get(addr); !math.IsNaN(lv) {
+					fn(addr, lv)
+					return true
+				}
+			}
+			fn(addr, v)
+			return true
+		})
+	}
+	for i := len(layers) - 1; i >= 0; i-- {
+		layers[i].Values().NonNull(func(a []int, v float64) bool {
+			cid, off := g.SplitID(a)
+			if cid != id || (base != nil && !math.IsNaN(base.Get(off))) {
+				return true
+			}
+			for j := len(layers) - 1; j > i; j-- {
+				if !math.IsNaN(layers[j].Deletes().Get(a)) || !math.IsNaN(layers[j].Values().Get(a)) {
+					return true
+				}
+			}
+			fn(a, v)
+			return true
+		})
+	}
 }
 
 // dumpStore materializes any cube.Store for exact comparison.
@@ -211,5 +265,197 @@ func TestKernelAmortizedAllocsPerCell(t *testing.T) {
 	if perCell >= 1 {
 		t.Fatalf("scanInto allocates %.2f/run = %.3f per relocated cell (%d cells); want amortized < 1",
 			allocs, perCell, tally.cellsRelocated)
+	}
+}
+
+// sameBits reports whether two cell dumps hold the same addresses with
+// bit-identical values (so -0 and 0 differ).
+func sameBits(want, got map[string]float64) bool {
+	if len(want) != len(got) {
+		return false
+	}
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok || math.Float64bits(g) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// paperScenarioLayers builds a sealed 3-layer chain over the paper's
+// warehouse: overrides of base cells, tombstones of base and of older
+// layer cells, a write over an older tombstone, and Contractor/Joe
+// cells in Texas, a chunk the base never materialized.
+func paperScenarioLayers(t *testing.T, base *cube.Cube) []*chunk.Layer {
+	t.Helper()
+	g := base.Store().(*chunk.Store).Geometry()
+	type edit struct {
+		org, loc string
+		month    int
+		meas     string
+		v        float64 // NaN = tombstone
+	}
+	del := math.NaN()
+	batches := [][]edit{
+		{
+			{"FTE/Joe", "NY", paperdata.Jan, "Salary", 11},
+			{"FTE/Lisa", "NY", paperdata.Mar, "Salary", 12},
+			{"Contractor/Joe", "TX", paperdata.Apr, "Salary", 7},
+			{"Contractor/Joe", "TX", paperdata.Jun, "Salary", 7},
+			{"Contractor/Joe", "TX", paperdata.Jul, "Salary", 8},
+		},
+		{
+			{"Contractor/Joe", "NY", paperdata.Mar, "Salary", del},
+			{"FTE/Lisa", "NY", paperdata.Apr, "Salary", del},
+			{"PTE/Joe", "NY", paperdata.Feb, "Benefits", 3.5},
+			{"PTE/Tom", "NY", paperdata.May, "Salary", 9},
+		},
+		{
+			{"Contractor/Joe", "NY", paperdata.Mar, "Salary", 31},
+			{"Contractor/Joe", "TX", paperdata.Jun, "Salary", del},
+			{"FTE/Lisa", "NY", paperdata.Feb, "Salary", del},
+			{"PTE/Tom", "NY", paperdata.May, "Salary", 10},
+		},
+	}
+	var layers []*chunk.Layer
+	for _, batch := range batches {
+		l := chunk.NewLayer(g)
+		for _, ed := range batch {
+			ids := []dimension.MemberID{
+				base.Dim(0).MustLookup(ed.org), base.Dim(1).MustLookup(ed.loc),
+				base.Dim(2).Leaf(ed.month).ID, base.Dim(3).MustLookup(ed.meas),
+			}
+			addr, ok := base.Ordinals(ids)
+			if !ok {
+				l.Seal()
+				t.Fatalf("edit %+v does not name a leaf cell", ed)
+			}
+			if math.IsNaN(ed.v) {
+				l.Delete(addr)
+			} else {
+				l.Set(addr, ed.v)
+			}
+		}
+		l.Seal()
+		layers = append(layers, l)
+	}
+	return layers
+}
+
+// schedulesLayerOnly reports whether the plan reads a chunk the base
+// store never materialized.
+func schedulesLayerOnly(st *chunk.Store, plan *PhysicalPlan) bool {
+	for _, id := range plan.Schedule {
+		if st.ReadChunk(id) == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestKernelAllRepsMatchLegacy pins the single relocation loop against
+// the per-cell oracle over every source shape the scan sees: the
+// store's automatic dense/sparse mix, an all-sparse and an
+// all-run-encoded store, and a 3-layer scenario chain (writes,
+// tombstones, a layer-only chunk) over the automatic store. For each,
+// at 5 semantics × 2 modes of ExecPerspective and both modes of
+// ExecChanges (extended varying dimension), serial and with 4 workers,
+// the engine's overlay is bit-identical to legacyOverlay's.
+func TestKernelAllRepsMatchLegacy(t *testing.T) {
+	sources := []struct {
+		name    string
+		convert func(st *chunk.Store) int // nil keeps the store as built
+		chain   bool
+	}{
+		{name: "auto"},
+		{name: "sparse", convert: (*chunk.Store).ForceSparseAll},
+		{name: "run-encoded", convert: (*chunk.Store).ForceRunEncodeAll},
+		{name: "chain", chain: true},
+	}
+	modes := []perspective.Mode{perspective.NonVisual, perspective.Visual}
+	for _, src := range sources {
+		base := paperdata.ChunkedWarehouse(nil)
+		st := base.Store().(*chunk.Store)
+		if src.convert != nil && src.convert(st) == 0 {
+			t.Fatalf("%s: no chunk converted", src.name)
+		}
+		reps := map[chunk.Representation]int{}
+		for _, id := range st.ChunkIDs() {
+			reps[st.ReadChunk(id).Rep()]++
+		}
+		if src.name == "auto" && (reps[chunk.Dense] == 0 || reps[chunk.Sparse] == 0) {
+			t.Fatalf("auto store representations %v: want both dense and sparse chunks", reps)
+		}
+		c := base
+		var layers []*chunk.Layer
+		if src.chain {
+			layers = paperScenarioLayers(t, base)
+			c = cube.NewWithStore(chunk.NewChain(base.Store(), layers), base.Dims()...)
+			for _, b := range base.Bindings() {
+				if err := c.AddBinding(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.SetRules(base.Rules())
+		}
+		e, err := New(c, "Organization")
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		if src.chain != (e.chain != nil) {
+			t.Fatalf("%s: engine chain = %v", src.name, e.chain != nil)
+		}
+		check := func(label string, plan *PhysicalPlan, exec func(ExecContext) (*View, error)) {
+			t.Helper()
+			want := dumpStore(legacyOverlay(e, plan, layers...))
+			if len(want) == 0 {
+				t.Fatalf("%s/%s: oracle relocated nothing; case is vacuous", src.name, label)
+			}
+			for _, workers := range []int{1, 4} {
+				v, err := exec(ExecContext{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s/workers=%d: %v", src.name, label, workers, err)
+				}
+				if got := dumpStore(overlayOf(t, v)); !sameBits(want, got) {
+					t.Fatalf("%s/%s/workers=%d: overlay differs from the per-cell oracle (%d vs %d cells)",
+						src.name, label, workers, len(got), len(want))
+				}
+			}
+		}
+		for _, sem := range allSemantics {
+			for _, mode := range modes {
+				q := PerspectiveQuery{
+					Members: []string{"Joe", "Lisa"}, Perspectives: []int{paperdata.Feb, paperdata.Apr},
+					Sem: sem, Mode: mode,
+				}
+				plan, err := e.PlanPerspective(q)
+				if err != nil {
+					t.Fatalf("%s/%v/%v plan: %v", src.name, sem, mode, err)
+				}
+				if src.chain && !schedulesLayerOnly(st, plan) {
+					t.Fatalf("%s/%v/%v: no layer-only chunk scheduled", src.name, sem, mode)
+				}
+				check(fmt.Sprintf("%v/%v", sem, mode), plan, func(ec ExecContext) (*View, error) {
+					return e.ExecPerspectiveWith(ec, q)
+				})
+			}
+		}
+		for _, mode := range modes {
+			q := ChangesQuery{
+				Changes: []algebra.Change{
+					{Member: "Lisa", OldParent: "FTE", NewParent: "PTE", T: paperdata.Apr},
+					{Member: "Tom", OldParent: "PTE", NewParent: "Contractor", T: paperdata.Mar},
+				},
+				Mode: mode,
+			}
+			plan, err := e.PlanChanges(q)
+			if err != nil {
+				t.Fatalf("%s/changes/%v plan: %v", src.name, mode, err)
+			}
+			check(fmt.Sprintf("changes/%v", mode), plan, func(ec ExecContext) (*View, error) {
+				return e.ExecChangesWith(ec, q)
+			})
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // runEncodedEngine builds a second engine over the same logical data
-// with every base chunk force run-encoded, so the scan takes the run
-// kernel instead of the per-cell path.
+// with every base chunk force run-encoded, so the run kernel sees long
+// value runs instead of the plain store's dense and sparse chunks.
 func runEncodedEngine(t testing.TB) *Engine {
 	t.Helper()
 	c := paperdata.ChunkedWarehouse(nil)
@@ -27,11 +27,12 @@ func runEncodedEngine(t testing.TB) *Engine {
 	return e
 }
 
-// TestRunKernelMatchesPerCellPaper checks the run-aware relocation
-// kernel against the per-cell path on the paper's warehouse: for every
+// TestRunKernelRunEncodedMatchesUnencodedPaper pins the storage
+// representation out of the result on the paper's warehouse: for every
 // semantics × mode, serial and parallel, a run-encoded store produces
-// the exact cell set (and relocation count) of the plain store.
-func TestRunKernelMatchesPerCellPaper(t *testing.T) {
+// the exact cell set (and relocation count) of the plain dense/sparse
+// store, both scanned by the one run kernel.
+func TestRunKernelRunEncodedMatchesUnencodedPaper(t *testing.T) {
 	plain := newEngine(t)
 	rle := runEncodedEngine(t)
 	for _, sem := range allSemantics {
@@ -51,10 +52,10 @@ func TestRunKernelMatchesPerCellPaper(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if !sameCells(dumpCells(want), dumpCells(got)) {
-					t.Fatalf("%s: run-encoded cells differ from per-cell path", label)
+					t.Fatalf("%s: run-encoded cells differ from the unencoded store's", label)
 				}
 				if got.Stats.CellsRelocated != want.Stats.CellsRelocated {
-					t.Fatalf("%s: %d cells relocated, per-cell path %d",
+					t.Fatalf("%s: %d cells relocated, unencoded store %d",
 						label, got.Stats.CellsRelocated, want.Stats.CellsRelocated)
 				}
 			}
@@ -62,11 +63,11 @@ func TestRunKernelMatchesPerCellPaper(t *testing.T) {
 	}
 }
 
-// TestRunKernelMatchesPerCellWorkforce is the same equivalence on a
-// generated workforce cube (64-employee chunks, multi-instance members,
+// TestRunKernelRunEncodedMatchesUnencodedWorkforce is the same
+// equivalence on a generated workforce cube (64-employee chunks, multi-instance members,
 // degenerate length-1 runs from the monthly drift), all semantics × both
 // modes, serial and parallel.
-func TestRunKernelMatchesPerCellWorkforce(t *testing.T) {
+func TestRunKernelRunEncodedMatchesUnencodedWorkforce(t *testing.T) {
 	wPlain, err := workload.NewWorkforce(workload.ConfigTiny())
 	if err != nil {
 		t.Fatal(err)

@@ -68,13 +68,9 @@ func (rc RunContext) context() context.Context {
 //
 // Concurrency: an evaluator holds no per-query state, so one evaluator
 // is safe for concurrent use — per-query parameters travel in a
-// RunContext through the *With methods (the deprecated WithContext shim
-// returns a copy and stays safe, but cannot carry per-query workers).
+// RunContext through the *With methods.
 type Evaluator struct {
 	cube *cube.Cube
-	// rc is the default RunContext, set only by the deprecated
-	// WithContext shim; the *With methods ignore it.
-	rc RunContext
 }
 
 // NewEvaluator creates an evaluator bound to a cube.
@@ -105,21 +101,9 @@ func EvaluateScenario(rc RunContext, view *cube.Cube, q *Query) (*result.Grid, c
 	return NewEvaluator(view).RunQueryStatsWith(rc, q)
 }
 
-// WithContext returns a copy of the evaluator whose queries observe the
-// context.
-//
-// Deprecated: pass a RunContext to RunWith, RunQueryWith or
-// RunQueryStatsWith instead; explicit threading also carries the scan
-// worker count.
-func (ev *Evaluator) WithContext(ctx context.Context) *Evaluator {
-	out := *ev
-	out.rc.Ctx = ctx
-	return &out
-}
-
 // Run parses and evaluates a query in one call.
 func (ev *Evaluator) Run(src string) (*result.Grid, error) {
-	return ev.RunWith(ev.rc, src)
+	return ev.RunWith(RunContext{}, src)
 }
 
 // RunContext is Run under a context: the query is abandoned with the
@@ -143,7 +127,7 @@ func (ev *Evaluator) RunWith(rc RunContext, src string) (*result.Grid, error) {
 
 // RunQuery evaluates a parsed query into a grid.
 func (ev *Evaluator) RunQuery(q *Query) (*result.Grid, error) {
-	return ev.RunQueryWith(ev.rc, q)
+	return ev.RunQueryWith(RunContext{}, q)
 }
 
 // RunQueryWith evaluates a parsed query under an explicit RunContext.
@@ -156,7 +140,7 @@ func (ev *Evaluator) RunQueryWith(rc RunContext, q *Query) (*result.Grid, error)
 // statistics when the engine path executed (zero otherwise). The
 // benchmark harness uses this to report chunk reads and merge work.
 func (ev *Evaluator) RunQueryStats(q *Query) (*result.Grid, core.Stats, error) {
-	return ev.RunQueryStatsWith(ev.rc, q)
+	return ev.RunQueryStatsWith(RunContext{}, q)
 }
 
 // RunQueryStatsWith evaluates a parsed query under an explicit
